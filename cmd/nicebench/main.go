@@ -160,7 +160,7 @@ func main() {
 		rsOut    = flag.String("readscale-out", "BENCH_readscale.json", "write readscale sweep results here (empty: skip)")
 		storHeav = flag.Int("storage-heavy-clients", 100_000, "virtual-client fleet size for the storagesweep heavytraffic arm")
 		trafSize = flag.String("traffic-sizes", "", "comma-separated virtual-client fleet sizes for -experiment heavytraffic (default 10000,100000,1000000)")
-		kernBase = flag.String("kernel-baseline", "", "compare kernel benchmarks against this JSON baseline; exit non-zero on >2x SleepWake/EventChurn regression")
+		kernBase = flag.String("kernel-baseline", "", "compare kernel benchmarks against this JSON baseline; exit non-zero when a gated benchmark regresses >2x or allocates where the baseline did not")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run here (view with: go tool pprof -top <file>)")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit here")
 	)
@@ -635,18 +635,21 @@ func main() {
 // kernelGates are the benchmarks whose regression fails a -kernel-baseline
 // check; the rest are reported for information only. The 2x threshold
 // absorbs machine-to-machine variance between the committed baseline and a
-// CI runner while still catching a lost fast path.
+// CI runner while still catching a lost fast path. Allocation counts do
+// not vary by machine, so a gated benchmark at 0 allocs/op in the
+// baseline must stay there exactly.
 var kernelGates = map[string]bool{
-	"SleepWake":     true,
-	"EventChurn":    true,
-	"QueueHandoff":  true,
-	"BroadcastWake": true,
-	"GroupCommit":   true,
+	"SleepWake":        true,
+	"EventChurn":       true,
+	"QueueHandoff":     true,
+	"BroadcastWake":    true,
+	"GroupCommit":      true,
+	"CancelledTimeout": true,
 }
 
 // checkKernelBaseline compares measured kernel benchmarks against a
 // committed baseline file and errors when a gated benchmark regressed by
-// more than 2x.
+// more than 2x or allocates where its baseline did not.
 func checkKernelBaseline(path string, got []kernelResult) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -678,9 +681,12 @@ func checkKernelBaseline(path string, got []kernelResult) error {
 		if kernelGates[g.Name] && ratio > 2 {
 			regressed = append(regressed, fmt.Sprintf("%s %.2fx", g.Name, ratio))
 		}
+		if kernelGates[g.Name] && b.AllocsPerOp == 0 && g.AllocsPerOp > 0 {
+			regressed = append(regressed, fmt.Sprintf("%s %d allocs/op", g.Name, g.AllocsPerOp))
+		}
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("kernel benchmarks regressed >2x vs %s: %s", path, strings.Join(regressed, ", "))
+		return fmt.Errorf("kernel benchmarks regressed vs %s: %s", path, strings.Join(regressed, ", "))
 	}
 	return nil
 }
@@ -749,6 +755,24 @@ func kernelBenchmarks() []kernelResult {
 		s.Spawn("sleeper", func(p *sim.Proc) {
 			for i := 0; i < b.N; i++ {
 				p.Sleep(time.Microsecond)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	add("CancelledTimeout", func(b *testing.B) {
+		// The stream-RTO pattern: arm a 25 ms deadline, wake 10 µs later,
+		// cancel it. The deadline sits in a coarse wheel bucket by then.
+		s := sim.New(1)
+		expired := func() { b.Error("cancelled timeout fired") }
+		s.Spawn("waiter", func(p *sim.Proc) {
+			for i := 0; i < b.N; i++ {
+				deadline := s.After(25*time.Millisecond, expired)
+				p.Sleep(10 * time.Microsecond)
+				deadline.Cancel()
 			}
 		})
 		b.ReportAllocs()

@@ -170,7 +170,7 @@ func (cm *CacheManager) onFetchReply(m *CacheFetchReply) {
 		return
 	}
 	if cm.cache.Len() >= cm.cache.Config().Capacity {
-		victim, cold := cm.coldest()
+		victim, cold := cm.cache.MinBy(cm.sketch.Estimate)
 		if victim == "" || cold >= cm.sketch.Estimate(m.Key) {
 			return // nothing resident is colder than the candidate
 		}
@@ -180,15 +180,4 @@ func (cm *CacheManager) onFetchReply(m *CacheFetchReply) {
 	}
 	cm.cache.InstallAs(cm.svc.gen, m.Key, m.Value, m.Size, m.Ver)
 	cm.stats.Installs++
-}
-
-// coldest returns the resident key with the lowest sketch estimate.
-func (cm *CacheManager) coldest() (string, uint32) {
-	victim, cold := "", ^uint32(0)
-	for _, k := range cm.cache.Keys() {
-		if e := cm.sketch.Estimate(k); e < cold || (e == cold && (victim == "" || k < victim)) {
-			victim, cold = k, e
-		}
-	}
-	return victim, cold
 }

@@ -159,3 +159,24 @@ func BenchmarkCancelledTimers(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCancelledTimeout measures the stream-RTO pattern: arm a 25 ms
+// deadline, wake 10 µs later, cancel the deadline. Unlike
+// CancelledTimers the deadline outlives many wakes, so it sits in a
+// coarse wheel bucket when it is cancelled.
+func BenchmarkCancelledTimeout(b *testing.B) {
+	s := New(1)
+	expired := func() { b.Error("cancelled timeout fired") }
+	s.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			deadline := s.After(25*time.Millisecond, expired)
+			p.Sleep(10 * time.Microsecond)
+			deadline.Cancel()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -36,9 +36,11 @@ type event struct {
 	// a static function and its context rides in the event struct.
 	fn2        func(a1, a2 any)
 	arg1, arg2 any
-	gen        uint32 // incremented each time the struct is recycled
-	dead       bool   // cancelled
-	idx        int    // eventHeap index, -1 when popped (oracle only)
+	s          *Simulator // owner, fixed at allocation: Cancel unfiles through it
+	gen        uint32     // incremented each time the struct is recycled
+	// pos is the event's index in its wheel bucket while it is filed
+	// there (see timerWheel.remove); stale while it sits in the front cache.
+	pos int32
 }
 
 // eventHeap is a min-heap ordered by (at, seq). It was the production
@@ -55,22 +57,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -138,13 +131,12 @@ func (s *Simulator) newEvent(t Time, fn func()) *event {
 		e.at = t
 		e.seq = s.seq
 		e.fn = fn
-		e.dead = false
 		return e
 	}
-	return &event{at: t, seq: s.seq, fn: fn}
+	return &event{at: t, seq: s.seq, fn: fn, s: s}
 }
 
-// freeEvent recycles a fired or dead event. Bumping gen invalidates any
+// freeEvent recycles a fired or cancelled event. Bumping gen invalidates any
 // outstanding Event handles; dropping fn/args releases captured references.
 func (s *Simulator) freeEvent(e *event) {
 	e.fn = nil
@@ -211,11 +203,14 @@ type Event struct {
 	gen uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event (or the zero Event) is a no-op.
+// Cancel prevents the event from firing. The event leaves the queue at
+// once, in O(1), and its struct is recycled, so a cancelled timer pins
+// neither queue space nor the closure it would have run. Cancelling an
+// already-fired or already-cancelled event (or the zero Event) is a no-op.
 func (ev *Event) Cancel() {
-	if ev.e != nil && ev.gen == ev.e.gen {
-		ev.e.dead = true
+	if e := ev.e; e != nil && ev.gen == e.gen {
+		e.s.wheel.remove(e)
+		e.s.freeEvent(e)
 	}
 }
 
@@ -278,10 +273,6 @@ func (s *Simulator) dispatch() *Proc {
 			}
 			return nil
 		}
-		if e.dead {
-			s.freeEvent(e)
-			continue
-		}
 		s.fire(e)
 	}
 }
@@ -334,7 +325,11 @@ func (s *Simulator) RunUntil(t Time) error {
 }
 
 // SetLimit makes Run stop once the clock would pass t. Zero removes the
-// limit.
+// limit. Run lands the clock exactly on t when, and only when, a pending
+// event lies beyond it; that event stays queued. A run whose queue drains
+// at or before t leaves the clock at the last event fired, as an
+// unlimited Run does. Cancelled events are not pending (they leave the
+// queue at Cancel), so they never decide which of the two happens.
 func (s *Simulator) SetLimit(t Time) { s.limit = t }
 
 // Stop makes Run return after the current event. Deployments with
@@ -342,8 +337,9 @@ func (s *Simulator) SetLimit(t Time) { s.limit = t }
 // calls Stop when its workload is done.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
-// The wheel maintains the count, so this stays O(1).
+// Pending reports the number of scheduled events that will still fire:
+// cancelled events are not counted. The wheel maintains the count, so
+// this stays O(1).
 func (s *Simulator) Pending() int { return s.wheel.n }
 
 // LiveProcs reports the number of processes that have been spawned and have

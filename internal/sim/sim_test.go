@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 )
 
 func ms(n int) Time { return Time(n) * time.Millisecond }
@@ -39,6 +41,66 @@ func TestEventCancel(t *testing.T) {
 	}
 	if fired {
 		t.Fatal("cancelled event fired")
+	}
+}
+
+// TestCancelReleasesClosure checks that Cancel lets go of the callback at
+// once: a cancelled 1 s timer must not keep what its closure captured
+// alive until the deadline passes.
+func TestCancelReleasesClosure(t *testing.T) {
+	s := New(1)
+	s.After(time.Microsecond, func() {}) // the timer below files into a coarse bucket
+	arm := func() (Event, weak.Pointer[[64]byte]) {
+		buf := new([64]byte)
+		return s.After(time.Second, func() { buf[0]++ }), weak.Make(buf)
+	}
+	ev, captured := arm()
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", s.Pending())
+	}
+	ev.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("Pending after Cancel = %d, want 1: cancelled events are not pending", s.Pending())
+	}
+	runtime.GC()
+	if captured.Value() != nil {
+		t.Fatal("the cancelled timer's closure is still reachable after GC")
+	}
+}
+
+// TestRunLimitClock pins where Run leaves the clock under SetLimit: on the
+// limit when a pending event lies beyond it (that event stays queued), at
+// the last fired event when the queue drains first. A cancelled event
+// beyond the limit is not pending and so does not pull the clock forward.
+func TestRunLimitClock(t *testing.T) {
+	s := New(1)
+	s.SetLimit(ms(50))
+	s.At(ms(10), func() {})
+	far := s.At(ms(80), func() {})
+	far.Cancel()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != ms(10) || s.Pending() != 0 {
+		t.Fatalf("drained run: Now = %v, Pending = %d; want 10ms, 0", s.Now(), s.Pending())
+	}
+
+	fired := false
+	s.At(ms(20), func() {})
+	s.At(ms(90), func() { fired = true })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != ms(50) || s.Pending() != 1 || fired {
+		t.Fatalf("limited run: Now = %v, Pending = %d, fired = %v; want 50ms, 1, false",
+			s.Now(), s.Pending(), fired)
+	}
+	s.SetLimit(0)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != ms(90) || !fired {
+		t.Fatalf("after lifting the limit: Now = %v, fired = %v; want 90ms, true", s.Now(), fired)
 	}
 }
 

@@ -40,6 +40,15 @@ import (
 //     can drop an older (smaller-seq) event into a bucket after a newer
 //     direct insert, so buckets sort by seq lazily on first pop after
 //     going out of order.
+//
+// Cancellation: most timers (receiver gap timers, stream RTOs, reply
+// deadlines) are stopped long before they expire, so a cancelled event
+// leaves the wheel at once instead of riding its cascades to the
+// deadline. Every filed event records its index in its bucket (event.pos);
+// its level and slot need no storage, because the invariant above makes
+// them a function of its time and the cursor. remove is O(1) in a coarse
+// bucket (swap with the last event: coarse buckets are unordered) and
+// shifts the tail of a level-0 bucket (they are drained in seq order).
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64 buckets per level
@@ -71,9 +80,8 @@ type timerWheel struct {
 	// timestamp. All bitmap indices are interpreted relative to its
 	// high-order fields.
 	cur Time
-	// n counts scheduled events (including next and cancelled ones still
-	// awaiting their pop) — the same semantics len(heap) had, so
-	// Pending() is O(1).
+	// n counts scheduled events, including next, so Pending() is O(1).
+	// Cancelled events are not among them: remove takes them out.
 	n int
 	// minAt is a conservative lower bound on the earliest pending event
 	// (maxTime when empty). wakeAll uses minAt > now as a cheap proof
@@ -136,6 +144,7 @@ func (w *timerWheel) pushBucket(e *event) {
 			b.unsorted = true // an older event cascaded in after newer inserts
 		}
 	}
+	e.pos = int32(len(b.events))
 	b.events = append(b.events, e)
 	w.occupied[lvl] |= 1 << idx
 	w.summary |= 1 << lvl
@@ -204,6 +213,9 @@ func (w *timerWheel) popBucket(bound Time) *event {
 				}
 				return 1
 			})
+			for i := b.head; i < len(b.events); i++ {
+				b.events[i].pos = int32(i)
+			}
 			b.unsorted = false
 		}
 		e := b.events[b.head]
@@ -245,10 +257,54 @@ func (w *timerWheel) cascade(lvl, idx int, start Time) {
 	}
 }
 
-// refreshMin recomputes the minAt lower bound after a pop (both callers
-// have the front cache empty, so buckets are everything): the exact next
-// timestamp when level 0 still holds events, else the start of the lowest
-// pending bucket (below every event in it), else maxTime.
+// remove unfiles a scheduled event that will not fire. level(e.at) is
+// still the level the event was filed at: the cursor only advances within
+// fields it already shares with every bucketed event.
+func (w *timerWheel) remove(e *event) {
+	w.n--
+	if w.next == e {
+		w.next = nil
+		w.refreshMin()
+		return
+	}
+	lvl := w.level(e.at)
+	idx := int(e.at>>(uint(lvl)*wheelBits)) & wheelMask
+	b := &w.buckets[lvl][idx]
+	i, last := int(e.pos), len(b.events)-1
+	if i < b.head || i > last || b.events[i] != e {
+		panic(fmt.Sprintf("sim: cancelled event (at=%v seq=%d) not at its wheel position", e.at, e.seq))
+	}
+	if lvl == 0 {
+		// Level 0 pops in seq order: close the gap by shifting.
+		copy(b.events[i:], b.events[i+1:])
+		for _, x := range b.events[i:last] {
+			x.pos--
+		}
+	} else {
+		b.events[i] = b.events[last]
+		b.events[i].pos = int32(i)
+	}
+	b.events[last] = nil
+	b.events = b.events[:last]
+	if len(b.events) == b.head {
+		b.events = b.events[:0]
+		b.head = 0
+		b.unsorted = false
+		w.occupied[lvl] &^= 1 << idx
+		if w.occupied[lvl] == 0 {
+			w.summary &^= 1 << lvl
+		}
+	}
+	if w.next == nil {
+		w.refreshMin()
+	}
+}
+
+// refreshMin recomputes the minAt lower bound after a pop or a removal
+// (every caller has the front cache empty, so buckets are everything):
+// the exact next timestamp when level 0 still holds events, else the
+// start of the lowest pending bucket (below every event in it), else
+// maxTime.
 func (w *timerWheel) refreshMin() {
 	if w.summary == 0 {
 		w.minAt = maxTime

@@ -85,8 +85,8 @@ type entry struct {
 
 // invalCap bounds the invalidation-version memory: versions are only
 // needed to defeat the install/invalidate race (a fetch in flight while a
-// put commits), whose window is one control RTT, so arbitrary eviction
-// beyond the cap is safe in practice.
+// put commits), whose window is one control RTT, so dropping the oldest
+// record beyond the cap is safe in practice.
 const invalCap = 16384
 
 // Cache is the switch-resident table. It wraps the datapath's pipeline:
@@ -104,9 +104,12 @@ type Cache struct {
 	cfg     Config
 	entries map[string]*entry
 	inval   map[string]uint64 // key -> newest invalidated/committed version
-	sampler func(key string)
-	stats   metrics.CacheCounters
-	misses  int64 // sampling phase counter
+	// invalLog lists inval's keys in first-recorded order: the FIFO that
+	// picks which record to drop at invalCap, independent of map order.
+	invalLog []string
+	sampler  func(key string)
+	stats    metrics.CacheCounters
+	misses   int64 // sampling phase counter
 
 	// extraCtrl is injected control-path latency (gray management network);
 	// it stretches installs, evictions and miss sampling but never the
@@ -164,10 +167,9 @@ func (c *Cache) Contains(key string) bool {
 	return ok
 }
 
-// Keys lists the resident keys in sorted order. Callers feed this into
-// eviction policy and the ctrlchain takeover reconcile, both of which
-// must behave identically across replayed runs, so the map's iteration
-// order must never leak out.
+// Keys lists the resident keys in sorted order. The ctrlchain takeover
+// reconcile evicts in this order and must behave identically across
+// replayed runs, so the map's iteration order must never leak out.
 func (c *Cache) Keys() []string {
 	out := make([]string, 0, len(c.entries))
 	for k := range c.entries {
@@ -175,6 +177,21 @@ func (c *Cache) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// MinBy returns the resident key with the lowest score, ties going to the
+// smaller key, and its score; ("", ^uint32(0)) when nothing is resident.
+// The total order makes the answer independent of map iteration order
+// without sorting the table.
+func (c *Cache) MinBy(score func(key string) uint32) (key string, min uint32) {
+	key, min = "", ^uint32(0)
+	found := false
+	for k := range c.entries {
+		if s := score(k); !found || s < min || (s == min && k < key) {
+			key, min, found = k, s, true
+		}
+	}
+	return key, min
 }
 
 // HitsOf returns the per-entry hit counter (0 when not resident).
@@ -327,18 +344,19 @@ func (c *Cache) Update(key string, value any, size int, ver uint64) bool {
 }
 
 // recordVer remembers the newest committed version per key so stale
-// installs lose the race; the map is bounded like the node's orphan
-// buffer.
+// installs lose the race. The map is bounded FIFO, like the node's
+// commit-dedup record: at invalCap the key recorded first is dropped.
 func (c *Cache) recordVer(key string, ver uint64) {
-	if ver > c.inval[key] {
-		if len(c.inval) >= invalCap {
-			for k := range c.inval {
-				if _, resident := c.entries[k]; !resident {
-					delete(c.inval, k)
-					break
-				}
-			}
-		}
-		c.inval[key] = ver
+	old, known := c.inval[key]
+	if ver <= old {
+		return
 	}
+	if !known {
+		if len(c.invalLog) >= invalCap {
+			delete(c.inval, c.invalLog[0])
+			c.invalLog = c.invalLog[1:]
+		}
+		c.invalLog = append(c.invalLog, key)
+	}
+	c.inval[key] = ver
 }

@@ -1,6 +1,7 @@
 package switchcache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -183,6 +184,53 @@ func TestCacheInvalidateIsSynchronousAndFencesInstalls(t *testing.T) {
 	st := r.cache.Stats()
 	if st.Invalidations != 1 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCacheInvalFenceEvictsOldestFirst overfills the stale-install fence
+// and checks that the record dropped at the cap is the one recorded
+// first, not one chosen by map order: bumping a key's version does not
+// renew its place.
+func TestCacheInvalFenceEvictsOldestFirst(t *testing.T) {
+	r := newRig(t, DefaultConfig(testCtrlDelay))
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	for i := 0; i < invalCap; i++ {
+		r.cache.Invalidate(key(i), 1)
+	}
+	r.cache.Invalidate(key(0), 2) // newer version, same FIFO place
+	r.cache.Invalidate("over1", 1)
+	if _, ok := r.cache.inval[key(0)]; ok || r.cache.inval[key(1)] != 1 {
+		t.Fatalf("first overflow: %s kept=%v, %s ver=%d; want %s dropped",
+			key(0), ok, key(1), r.cache.inval[key(1)], key(0))
+	}
+	r.cache.Invalidate("over2", 1)
+	if _, ok := r.cache.inval[key(1)]; ok || r.cache.inval[key(2)] != 1 {
+		t.Fatalf("second overflow dropped the wrong record")
+	}
+	if len(r.cache.inval) != invalCap || r.cache.inval["over1"] != 1 || r.cache.inval["over2"] != 1 {
+		t.Fatalf("fence holds %d records, want %d including both newcomers", len(r.cache.inval), invalCap)
+	}
+	// The dropped key's fence is gone: an old install now applies.
+	r.install(t, key(0), "v", 10, 1)
+	if !r.cache.Contains(key(0)) {
+		t.Fatal("install of a key whose fence record was dropped was rejected")
+	}
+}
+
+// TestCacheMinBy checks the order-independent minimum the eviction policy
+// uses: lowest score wins, equal scores go to the smaller key.
+func TestCacheMinBy(t *testing.T) {
+	r := newRig(t, DefaultConfig(testCtrlDelay))
+	if k, s := r.cache.MinBy(func(string) uint32 { return 0 }); k != "" || s != ^uint32(0) {
+		t.Fatalf("empty cache: MinBy = %q, %d", k, s)
+	}
+	score := map[string]uint32{"a": 7, "b": 3, "c": 3, "d": 9}
+	for k := range score {
+		r.cache.Install(k, "v", 10, 1)
+	}
+	r.run(t)
+	if k, s := r.cache.MinBy(func(k string) uint32 { return score[k] }); k != "b" || s != 3 {
+		t.Fatalf("MinBy = %q, %d; want b, 3", k, s)
 	}
 }
 

@@ -111,7 +111,6 @@ type rxState struct {
 	contig   int
 	maxIdx   int // highest chunk index seen: NACKs never reach past it
 	fires    int // total gap-timer firings; bounds abandoned transfers
-	done     bool
 	gapTimer sim.Event
 	nacks    int
 	data     any // stashed from the data-bearing last chunk
@@ -127,7 +126,11 @@ type MulticastReceiver struct {
 	port  uint16
 	ctrl  *UDPSocket // replies to senders
 	rq    *sim.Queue[*Transfer]
-	rx    map[xferKey]*rxState
+	rx    map[xferKey]*rxState // in-flight transfers only
+	// done holds each finished transfer's chunk count: enough to answer a
+	// duplicate tail with mctrlDone and never deliver the transfer twice,
+	// without keeping its chunk bitmap, timer and payload.
+	done map[xferKey]int
 }
 
 // BindMulticast binds a multicast receiver on port.
@@ -145,6 +148,7 @@ func (st *Stack) BindMulticast(port uint16) (*MulticastReceiver, error) {
 		ctrl:  ctrl,
 		rq:    sim.NewQueue[*Transfer](st.s),
 		rx:    make(map[xferKey]*rxState),
+		done:  make(map[xferKey]int),
 	}
 	st.mrecv[port] = r
 	return r, nil
@@ -185,15 +189,15 @@ func (r *MulticastReceiver) send(to netsim.IP, toPort uint16, m *mctrlMsg) {
 // unicast repair).
 func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 	key := xferKey{m.ackIP, m.xfer}
+	if total, finished := r.done[key]; finished {
+		// Duplicate tail of a finished transfer: re-confirm.
+		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: total})
+		return
+	}
 	st, ok := r.rx[key]
 	if !ok {
 		st = &rxState{have: make([]bool, m.total), total: m.total}
 		r.rx[key] = st
-	}
-	if st.done {
-		// Duplicate tail of a finished transfer: re-confirm.
-		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
-		return
 	}
 	if m.idx >= 0 && m.idx < st.total && !st.have[m.idx] {
 		st.have[m.idx] = true
@@ -211,8 +215,9 @@ func (r *MulticastReceiver) recvChunk(pkt *netsim.Packet, m *chunkMsg) {
 		st.size = m.size
 	}
 	if st.count == st.total {
-		st.done = true
 		st.gapTimer.Cancel()
+		delete(r.rx, key)
+		r.done[key] = st.total
 		r.send(m.ackIP, m.ackPort, &mctrlMsg{kind: mctrlDone, xfer: m.xfer, upTo: st.total})
 		r.rq.Push(&Transfer{
 			From:     m.ackIP,
@@ -250,7 +255,7 @@ func (r *MulticastReceiver) nackMissing(key xferKey, st *rxState, m *chunkMsg, b
 
 func (r *MulticastReceiver) gapFired(key xferKey, m *chunkMsg) {
 	st, ok := r.rx[key]
-	if !ok || st.done {
+	if !ok {
 		return
 	}
 	st.fires++

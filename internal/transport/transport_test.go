@@ -356,6 +356,70 @@ func TestMulticastAllReceivers(t *testing.T) {
 	}
 }
 
+// TestMulticastFinishedTransferState checks what a receiver keeps once a
+// transfer completes: no in-flight state, only the done record, which
+// still re-confirms a duplicate tail with mctrlDone and never delivers the
+// transfer a second time.
+func TestMulticastFinishedTransferState(t *testing.T) {
+	h := newHub(t, 3, netsim.Gbps(1, us(10)))
+	g := mcastGroup(h, 1, 2)
+	var rs []*MulticastReceiver
+	delivered := 0
+	for i := 1; i <= 2; i++ {
+		r := h.stacks[i].MustBindMulticast(6000)
+		rs = append(rs, r)
+		h.s.Spawn("recv", func(p *sim.Proc) {
+			for {
+				if _, ok := r.Recv(p); !ok {
+					return
+				}
+				delivered++
+			}
+		})
+	}
+	var res *McastResult
+	var err error
+	var confirms []*mctrlMsg
+	h.s.Spawn("send", func(p *sim.Proc) {
+		res, err = h.stacks[0].SendMulticast(p, McastOpts{
+			To: g, ToPort: 6000, Data: "payload", Size: 100 * 1024, Receivers: 2,
+		})
+		if err != nil {
+			return
+		}
+		for _, r := range rs {
+			if len(r.rx) != 0 || len(r.done) != 1 {
+				t.Errorf("after delivery: %d in-flight, %d done records; want 0, 1", len(r.rx), len(r.done))
+			}
+		}
+		// Replay the transfer's tail chunk, as a retransmission would.
+		ctl := h.stacks[0].MustBindUDP(0)
+		last := res.Chunks - 1
+		ctl.SendTo(g, 6000, &chunkMsg{xfer: 1, idx: last, total: res.Chunks, size: 100 * 1024,
+			data: "payload", ackIP: h.stacks[0].IP(), ackPort: ctl.Port(), needAck: true}, 100*1024-last*MTU)
+		for range rs {
+			if d, ok := ctl.RecvTimeout(p, ms(5)); ok {
+				confirms = append(confirms, d.Data.(*mctrlMsg))
+			}
+		}
+	})
+	h.run(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 2 {
+		t.Fatalf("deliveries = %d, want 2: a duplicate tail must not redeliver", delivered)
+	}
+	if len(confirms) != 2 {
+		t.Fatalf("duplicate tail drew %d replies, want 2", len(confirms))
+	}
+	for _, m := range confirms {
+		if m.kind != mctrlDone || m.upTo != res.Chunks {
+			t.Fatalf("duplicate tail answered with %+v, want mctrlDone upTo %d", m, res.Chunks)
+		}
+	}
+}
+
 func TestMulticastRepairsLoss(t *testing.T) {
 	h := newHub(t, 3, netsim.LinkConfig{BandwidthBps: 1e9, LossRate: 0.05})
 	g := mcastGroup(h, 1, 2)
